@@ -180,25 +180,34 @@ class CacheHierarchy:
         Every L2 group must be contained in a single L3 group (the inclusion
         requirement of Sections 2.2/2.3).  Duplicate copies that sharing may
         create are *not* flushed here — lazy invalidation handles them.
+
+        Re-installing the installed grouping is a no-op: the search orders,
+        bindings and inclusion are already correct for it (slice faults
+        repair themselves in :meth:`set_faulted_slices`), so the epoch
+        boundary skips the whole-cache repair scan when nothing changed.
         """
+        new_l2 = [tuple(g) for g in l2_groups]
+        new_l3 = [tuple(g) for g in l3_groups]
+        if new_l2 == self._l2_groups and new_l3 == self._l3_groups:
+            return
         n = self.config.cores
-        for name, groups in ((L2, l2_groups), (L3, l3_groups)):
+        for name, groups in ((L2, new_l2), (L3, new_l3)):
             seen = sorted(s for g in groups for s in g)
             if seen != list(range(n)):
                 raise ValueError(f"{name} groups {groups} do not partition 0..{n - 1}")
         l3_of: Dict[int, Tuple[int, ...]] = {}
-        for group in l3_groups:
+        for group in new_l3:
             for slice_id in group:
-                l3_of[slice_id] = tuple(group)
-        for group in l2_groups:
+                l3_of[slice_id] = group
+        for group in new_l2:
             covering = {l3_of[s] for s in group}
             if len(covering) != 1:
                 raise ValueError(
                     f"L2 group {group} spans multiple L3 groups {covering}: "
                     "inclusion would be violated"
                 )
-        self._l2_groups = [tuple(g) for g in l2_groups]
-        self._l3_groups = [tuple(g) for g in l3_groups]
+        self._l2_groups = new_l2
+        self._l3_groups = new_l3
         self._l2_group_of = [()] * n
         self._l3_group_of = [()] * n
         for group in self._l2_groups:

@@ -83,9 +83,8 @@ from repro.interconnect.timing import ArbiterTimingModel
 from repro.obs import REGISTRY
 from repro.render import render_series
 from repro.resilience import ConfigError, ReproError, parse_fault_spec
+from repro.sim.engine import DEFAULT_ENGINE, ENGINES
 from repro.sim.experiment import run_scheme
-from repro.sim.parallel import RunSpec, resolve_jobs, run_many
-from repro.sim.supervisor import SweepPolicy, run_supervised
 from repro.sim.workload import Workload
 from repro.workloads import MIXES, PARSEC_BENCHMARKS, SPEC_BENCHMARKS
 
@@ -182,6 +181,9 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
+    from repro.sim.parallel import RunSpec, resolve_jobs, run_many
+    from repro.sim.supervisor import SweepPolicy, run_supervised
+
     machine = preset(args.preset)
     workload = _workload_from_name(args.workload)
     fault_plan = parse_fault_spec(args.faults) if args.faults else None
@@ -375,9 +377,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--resume", action="store_true",
         help="resume from --checkpoint PATH (verified bit-identical replay)")
     run_parser.add_argument(
-        "--engine", choices=("event", "batch"), default="event",
-        help="epoch engine: per-access event loop (default) or the "
-             "set-partitioned batch engine (bit-identical, faster)")
+        "--engine", choices=ENGINES, default=DEFAULT_ENGINE,
+        help="epoch engine: the set-partitioned batch engine (default) or "
+             "the per-access event loop it is checked against "
+             "(bit-identical, slower)")
     run_parser.add_argument(
         "--trace", default=None, metavar="PATH",
         help="record a structured JSONL trace of the run to PATH (render "
@@ -403,8 +406,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes for the scheme sweep (default: $REPRO_JOBS "
              "or 1); results are identical at any job count")
     compare_parser.add_argument(
-        "--engine", choices=("event", "batch"), default="event",
-        help="epoch engine for every run of the sweep (bit-identical)")
+        "--engine", choices=ENGINES, default=DEFAULT_ENGINE,
+        help="epoch engine for every run of the sweep: batch (default) or "
+             "the event reference (bit-identical)")
     compare_parser.add_argument(
         "--faults", default=None, metavar="SPEC",
         help="fault-injection spec applied to every run of the sweep "

@@ -59,9 +59,12 @@ def state_digest(system) -> str:
         for name, slices in (("l1", hierarchy.l1s), ("l2", hierarchy.l2s),
                              ("l3", hierarchy.l3s)):
             for slice_id, cache in enumerate(slices):
-                for entry in cache.entries():
-                    feed(name, slice_id, entry.line, entry.owner,
-                         entry.dirty, entry.stamp)
+                # One string per slice, byte-for-byte the concatenation of
+                # feed(name, slice_id, line, owner, dirty, stamp) per entry.
+                head = f"({name!r}, {slice_id!r}, "
+                hasher.update("".join([
+                    f"{head}{e.line!r}, {e.owner!r}, {e.dirty!r}, {e.stamp!r})"
+                    for ways in cache.way_lists() for e in ways]).encode())
     controller = getattr(system, "controller", None)
     if controller is not None:
         feed("epoch", controller._epoch, "mode", controller.guard.mode)

@@ -9,7 +9,13 @@
 - :mod:`~repro.sim.parallel` — the process-parallel sweep runner.
 - :mod:`~repro.sim.supervisor` — supervised, crash-safe sweep execution:
   timeouts, retries, quarantine, and resumable run journals.
+
+The sweep modules (:mod:`~repro.sim.parallel`, :mod:`~repro.sim.supervisor`)
+load on first use of one of their names (PEP 562), so a single run does not
+pay for importing the supervisor and its process pool.
 """
+
+import importlib
 
 from repro.sim.workload import Workload
 from repro.sim.engine import EpochResult, RunResult, simulate
@@ -20,12 +26,23 @@ from repro.sim.experiment import (
     build_system,
     run_scheme,
 )
-from repro.sim.parallel import RunSpec, run_many
-from repro.sim.supervisor import (
-    SweepPolicy,
-    SweepReport,
-    run_supervised,
-)
+
+#: Names served lazily, by the submodule that defines them.
+_LAZY = {
+    "RunSpec": "repro.sim.parallel",
+    "run_many": "repro.sim.parallel",
+    "SweepPolicy": "repro.sim.supervisor",
+    "SweepReport": "repro.sim.supervisor",
+    "run_supervised": "repro.sim.supervisor",
+}
+
+
+def __getattr__(name):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(module), name)
+
 
 __all__ = [
     "Workload",

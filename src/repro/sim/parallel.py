@@ -41,7 +41,7 @@ from typing import Dict, List, Optional, Sequence
 from repro.config import MachineConfig, MorphConfig
 from repro.resilience.errors import ConfigError
 from repro.resilience.faults import FaultPlan
-from repro.sim.engine import RunResult
+from repro.sim.engine import DEFAULT_ENGINE, RunResult
 from repro.sim.workload import Workload
 
 #: Environment variable consulted when ``jobs`` is not given explicitly.
@@ -64,7 +64,7 @@ class RunSpec:
     accesses_per_core: Optional[int] = None
     warmup_epochs: int = 1
     morph: Optional[MorphConfig] = None
-    engine: str = "event"
+    engine: str = DEFAULT_ENGINE
     fault_plan: Optional[FaultPlan] = None
     trace_path: Optional[str] = None
     """JSONL trace output for this run (observability side channel; it does

@@ -1,5 +1,8 @@
 """Tests for the three-level inclusive hierarchy with merged groups."""
 
+import copy
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -210,6 +213,90 @@ class TestInclusion:
         h.check_inclusion()
         for entry in h.l2s[1].entries():
             assert entry.owner == 1
+
+
+def _state(h):
+    """Everything a topology install could change, as comparable values."""
+    slices = [[(e.line, e.owner, e.dirty, e.stamp) for e in c.entries()]
+              for c in h.l1s + h.l2s + h.l3s]
+    directory = {line: set(cores) for line, cores in h._l1_directory.items()}
+    return slices, directory, copy.deepcopy(h.stats)
+
+
+def _traffic(h, seed, n=3000):
+    rng = random.Random(seed)
+    for _ in range(n):
+        h.access(rng.randrange(16), rng.randrange(1500), rng.random() < 0.3)
+
+
+MERGED_L2 = [(0, 1), (2, 3)] + private_topology()[4:]
+MERGED_L3 = [(0, 1, 2, 3)] + private_topology()[4:]
+
+
+class TestReinstallIsNoop:
+    def test_same_grouping_changes_nothing(self):
+        observer = RecordingObserver()
+        h = CacheHierarchy(TINY, observer=observer)
+        h.set_topology(MERGED_L2, MERGED_L3)
+        _traffic(h, seed=3)
+        before, events = _state(h), len(observer.events)
+        # Lists instead of tuples: equality is by value, not by type.
+        h.set_topology([list(g) for g in MERGED_L2],
+                       [list(g) for g in MERGED_L3])
+        assert _state(h) == before
+        assert len(observer.events) == events
+
+    def test_same_grouping_skips_the_repair_scan(self, monkeypatch):
+        h = make_hierarchy()
+        h.set_topology(MERGED_L2, MERGED_L3)
+        monkeypatch.setattr(h, "_repair_after_reconfiguration",
+                            lambda: pytest.fail("repair ran on a no-op"))
+        h.set_topology(MERGED_L2, MERGED_L3)
+
+    def test_changed_grouping_still_repairs(self):
+        observer = RecordingObserver()
+        h = CacheHierarchy(TINY, observer=observer)
+        h.set_topology(MERGED_L2, MERGED_L3)
+        _traffic(h, seed=4)
+        assert any(e.owner != 1 for e in h.l2s[1].entries())
+        observer.events.clear()
+        h.set_topology(private_topology(), private_topology())
+        assert all(e.owner == 1 for e in h.l2s[1].entries())
+        assert any(e[0] == "evict" for e in observer.events)
+        h.check_inclusion()
+
+    def test_fault_then_same_grouping_matches_full_repair(self):
+        # A slice fault repairs inside set_faulted_slices; the following
+        # same-grouping install must leave exactly what a forced repair
+        # would.
+        systems = []
+        for _ in range(2):
+            h = make_hierarchy()
+            h.set_topology(MERGED_L2, MERGED_L3)
+            _traffic(h, seed=5)
+            h.set_faulted_slices("l3", {1})
+            h.set_topology(MERGED_L2, MERGED_L3)
+            systems.append(h)
+        systems[1]._repair_after_reconfiguration()
+        assert _state(systems[0]) == _state(systems[1])
+        systems[0].check_inclusion()
+        assert systems[0].l3s[1].occupancy() == 0
+
+    def test_topology_counter_counts_real_installs_only(self):
+        from repro.obs import REGISTRY
+
+        REGISTRY.reset()
+        REGISTRY.enable()
+        try:
+            h = make_hierarchy()  # the initial private install
+            h.set_topology(private_topology(), private_topology())
+            h.set_topology(MERGED_L2, MERGED_L3)
+            h.set_topology(MERGED_L2, MERGED_L3)
+            installs = REGISTRY.get("repro_topology_changes_total").value
+        finally:
+            REGISTRY.disable()
+            REGISTRY.reset()
+        assert installs == 2
 
 
 class TestCoherence:

@@ -1,5 +1,6 @@
 """Tests for checkpoint/resume: round trips, fingerprints, bit-identity."""
 
+import hashlib
 import json
 
 import pytest
@@ -13,13 +14,43 @@ from repro.resilience.checkpoint import (
     state_digest,
 )
 from repro.resilience.errors import CheckpointError
-from repro.resilience.faults import FaultPlan
+from repro.resilience.faults import FaultPlan, parse_fault_spec
 from repro.sim.engine import simulate
 from repro.sim.experiment import build_system, run_scheme
 from repro.sim.workload import Workload
 from repro.workloads import mix_by_name
 
 CFG = TINY.with_(accesses_per_core_per_epoch=250)
+
+
+def _reference_digest(system) -> str:
+    """state_digest as first written: one ``repr(tuple)`` update per item."""
+    hasher = hashlib.sha256()
+
+    def feed(*parts):
+        hasher.update(repr(parts).encode())
+
+    hierarchy = getattr(system, "hierarchy", None)
+    if hierarchy is not None:
+        feed("stamp", hierarchy._stamp)
+        feed("l2_groups", hierarchy.l2_groups, "l3_groups", hierarchy.l3_groups)
+        feed("disabled", sorted(hierarchy.disabled_slices("l2")),
+             sorted(hierarchy.disabled_slices("l3")))
+        for name, slices in (("l1", hierarchy.l1s), ("l2", hierarchy.l2s),
+                             ("l3", hierarchy.l3s)):
+            for slice_id, cache in enumerate(slices):
+                for entry in cache.entries():
+                    feed(name, slice_id, entry.line, entry.owner,
+                         entry.dirty, entry.stamp)
+    controller = getattr(system, "controller", None)
+    if controller is not None:
+        feed("epoch", controller._epoch, "mode", controller.guard.mode)
+        for level in ("l2", "l3"):
+            for core in range(controller.config.cores):
+                feed(level, core, controller.bank.acfv(level, core).as_int())
+    if hierarchy is None and controller is None:
+        feed("misses", sorted(system.miss_counts().items()))
+    return hasher.hexdigest()
 
 
 def series(result):
@@ -53,6 +84,29 @@ class TestStateDigest:
         for line in range(50):
             system.access(0, line, False)
         assert len(state_digest(system)) == 64
+
+    @pytest.mark.parametrize("scheme, workload_name, faults", [
+        ("(16:1:1)", "MIX 03", None),
+        ("(4:4:1)", "dedup", None),
+        ("morphcache", "canneal", None),
+        ("morphcache", "MIX 03",
+         "disable-slice:every=2:level=l3,flip-acfv:at=3:bits=4,seed=7"),
+        ("(4:4:1)", "MIX 03", "disable-slice:every=2:level=l2,seed=11"),
+        ("pipp", "MIX 03", None),
+    ])
+    def test_digest_bytes_match_per_entry_reference(self, scheme,
+                                                    workload_name, faults):
+        # state_digest hashes each slice as one joined string; the bytes
+        # must equal the original one-repr(tuple)-per-entry encoding.
+        load = Workload.from_name(workload_name)
+        system = build_system(scheme, CFG, load, seed=5)
+        plan = parse_fault_spec(faults) if faults else None
+        simulate(system, load, CFG, seed=5, epochs=4, fault_plan=plan)
+        hierarchy = getattr(system, "hierarchy", None)
+        if faults:
+            assert (hierarchy.disabled_slices("l2")
+                    or hierarchy.disabled_slices("l3"))
+        assert state_digest(system) == _reference_digest(system)
 
 
 class TestSaveLoad:

@@ -28,7 +28,7 @@ class TestValidation:
         assert spec.tenant == "alice"
         assert spec.schemes == ("morphcache",)
         assert spec.preset == "tiny"
-        assert spec.seed == 1 and spec.engine == "event"
+        assert spec.seed == 1 and spec.engine == "batch"
 
     def test_not_an_object(self):
         with pytest.raises(ConfigError):

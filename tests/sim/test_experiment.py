@@ -1,5 +1,10 @@
 """Tests for the experiment orchestration layer."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from repro.baselines.dsr import DsrSystem
@@ -71,3 +76,29 @@ class TestAloneIpc:
 
     def test_alone_ipc_positive(self, fast_config):
         assert alone_ipc("libquantum", fast_config, seed=2, epochs=1) > 0
+
+
+#: One run in a fresh interpreter; prints the modules it loaded, then checks
+#: that the lazily served sweep names still resolve.
+_SINGLE_RUN = """
+import sys, repro
+from repro.config import TINY
+repro.run_scheme("morphcache", repro.Workload.from_mix(repro.mix_by_name("MIX 01")),
+                 TINY.with_(epochs=1), seed=1)
+print("\\n".join(sorted(sys.modules)))
+import repro.sim
+assert repro.sim.run_supervised.__module__ == "repro.sim.supervisor"
+"""
+
+
+class TestImportCost:
+    def test_single_run_does_not_import_the_sweep_modules(self):
+        src = pathlib.Path(__file__).resolve().parents[2] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        out = subprocess.run([sys.executable, "-c", _SINGLE_RUN], env=env,
+                             capture_output=True, text=True, check=True).stdout
+        loaded = set(out.split())
+        assert "repro.sim.engine" in loaded
+        assert "repro.sim.parallel" not in loaded
+        assert "repro.sim.supervisor" not in loaded
+        assert "concurrent.futures.process" not in loaded

@@ -375,7 +375,7 @@ def test_spec_key_distinguishes_every_field():
             RunSpec(scheme="morphcache", workload=_workload(), config=TINY,
                     seed=1, epochs=5),
             RunSpec(scheme="morphcache", workload=_workload(), config=TINY,
-                    seed=1, engine="batch"),
+                    seed=1, engine="event"),
     ):
         assert spec_key(other) != spec_key(base)
 

@@ -99,7 +99,7 @@ class TestCommands:
         assert "metrics written" in capsys.readouterr().out
         text = text_path.read_text()
         assert "# TYPE repro_sim_runs_total counter" in text
-        assert 'repro_sim_runs_total{engine="event"} 1' in text
+        assert 'repro_sim_runs_total{engine="batch"} 1' in text
 
         json_path = tmp_path / "metrics.json"
         assert main(["run", "--workload", "MIX 01", "--preset", "tiny",
