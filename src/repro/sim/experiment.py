@@ -15,9 +15,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from repro.baselines.dsr import DsrSystem
-from repro.baselines.pipp import PippSystem
-from repro.baselines.ucp import UcpSystem
 from repro.config import MachineConfig, MorphConfig
 from repro.cpu.cmp import CmpSystem
 from repro.obs.trace import TraceRecorder
@@ -30,6 +27,27 @@ PIPP = "pipp"
 DSR = "dsr"
 UCP = "ucp"
 
+
+# The baseline systems are imported by their builders: a MorphCache or
+# static run never loads them.
+def _build_pipp(config, workload, seed, morph):
+    from repro.baselines.pipp import PippSystem
+
+    return PippSystem(config, seed=seed)
+
+
+def _build_dsr(config, workload, seed, morph):
+    from repro.baselines.dsr import DsrSystem
+
+    return DsrSystem(config, seed=seed)
+
+
+def _build_ucp(config, workload, seed, morph):
+    from repro.baselines.ucp import UcpSystem
+
+    return UcpSystem(config, seed=seed)
+
+
 #: Builders for the non-static schemes; static ``(x:y:z)`` labels are
 #: recognised structurally.
 SCHEME_BUILDERS = {
@@ -38,9 +56,9 @@ SCHEME_BUILDERS = {
         morph=morph or MorphConfig(),
         shared_address_space=workload.shared_address_space,
     ),
-    PIPP: lambda config, workload, seed, morph: PippSystem(config, seed=seed),
-    DSR: lambda config, workload, seed, morph: DsrSystem(config, seed=seed),
-    UCP: lambda config, workload, seed, morph: UcpSystem(config, seed=seed),
+    PIPP: _build_pipp,
+    DSR: _build_dsr,
+    UCP: _build_ucp,
 }
 
 

@@ -34,6 +34,7 @@ makes the results independent of parallelism.
 
 from __future__ import annotations
 
+import gc
 import os
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
@@ -110,10 +111,17 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
 
 
 def _run_spec(spec: RunSpec) -> RunResult:
-    """Worker entry point: one deterministic simulation run."""
+    """Worker entry point: one deterministic simulation run.
+
+    An all-private hierarchy binds its own ``_access_private`` as
+    ``access``, a reference cycle that keeps the whole finished system
+    (every cache entry) alive until the cyclic collector runs, which may be
+    well into the next spec.  Collecting here keeps a worker's consecutive
+    runs from overlapping in memory.
+    """
     from repro.sim.experiment import run_scheme  # local: keep import cheap
 
-    return run_scheme(
+    result = run_scheme(
         spec.scheme,
         spec.workload,
         spec.config,
@@ -126,6 +134,8 @@ def _run_spec(spec: RunSpec) -> RunResult:
         fault_plan=spec.fault_plan,
         trace_path=spec.trace_path,
     )
+    gc.collect()
+    return result
 
 
 def run_many(

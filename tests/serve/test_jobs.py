@@ -79,7 +79,7 @@ class TestValidation:
 class TestRoundTrip:
     def test_payload_round_trips(self):
         spec = _spec(schemes=["morphcache", "pipp"], epochs=5, seed=9,
-                     engine="batch", jobs=2, run_timeout=1.5, retries=2,
+                     engine="event", jobs=2, run_timeout=1.5, retries=2,
                      max_seconds=60.0, trace=False)
         assert JobSpec.from_payload(spec.payload()) == spec
 

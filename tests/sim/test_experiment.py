@@ -92,7 +92,7 @@ assert repro.sim.run_supervised.__module__ == "repro.sim.supervisor"
 
 
 class TestImportCost:
-    def test_single_run_does_not_import_the_sweep_modules(self):
+    def test_single_run_does_not_import_the_sweep_or_baseline_modules(self):
         src = pathlib.Path(__file__).resolve().parents[2] / "src"
         env = {**os.environ, "PYTHONPATH": str(src)}
         out = subprocess.run([sys.executable, "-c", _SINGLE_RUN], env=env,
@@ -102,3 +102,4 @@ class TestImportCost:
         assert "repro.sim.parallel" not in loaded
         assert "repro.sim.supervisor" not in loaded
         assert "concurrent.futures.process" not in loaded
+        assert not {m for m in loaded if m.startswith("repro.baselines")}

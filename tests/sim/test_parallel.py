@@ -1,5 +1,9 @@
 """Tests for the process-parallel sweep runner."""
 
+import dataclasses
+import gc
+import weakref
+
 import pytest
 
 from repro.config import TINY
@@ -7,6 +11,7 @@ from repro.resilience.errors import ConfigError
 from repro.sim import experiment
 from repro.sim.parallel import (
     RunSpec,
+    _run_spec,
     derive_seed,
     prime_alone_ipcs,
     resolve_jobs,
@@ -91,16 +96,37 @@ def test_prime_alone_ipcs_matches_serial_cache(monkeypatch):
 
 
 def test_batch_engine_specs_match_event(monkeypatch):
-    event_specs = _specs()
-    batch_specs = [RunSpec(scheme=s.scheme, workload=s.workload,
-                           config=s.config, seed=s.seed, engine="batch")
-                   for s in event_specs]
+    event_specs = [dataclasses.replace(s, engine="event") for s in _specs()]
+    batch_specs = [dataclasses.replace(s, engine="batch") for s in _specs()]
     event = run_many(event_specs, jobs=1)
     batch = run_many(batch_specs, jobs=2)
     for a, b in zip(event, batch):
         assert [e.misses for e in a.epochs] == [e.misses for e in b.epochs]
         assert [{c: repr(v) for c, v in e.ipcs.items()} for e in a.epochs] \
             == [{c: repr(v) for c, v in e.ipcs.items()} for e in b.epochs]
+
+
+def test_worker_frees_the_finished_system(monkeypatch):
+    # An all-private hierarchy keeps itself alive through a cycle; the
+    # worker entry point must free it before taking the next spec, not
+    # leave it to whenever the cyclic collector next runs.
+    built = []
+    original = experiment.build_system
+
+    def capture(*args, **kwargs):
+        system = original(*args, **kwargs)
+        built.append(weakref.ref(system.hierarchy))
+        return system
+
+    monkeypatch.setattr(experiment, "build_system", capture)
+    spec = RunSpec(scheme="(1:1:16)", workload=Workload.from_mix(MIXES[0]),
+                   config=TINY, seed=11, epochs=1)
+    gc.disable()
+    try:
+        _run_spec(spec)
+        assert len(built) == 1 and built[0]() is None
+    finally:
+        gc.enable()
 
 
 def test_many_specs_ordered():
