@@ -48,6 +48,11 @@ def _build_ucp(config, workload, seed, morph):
     return UcpSystem(config, seed=seed)
 
 
+#: Schemes whose systems the batch engine cannot batch
+#: (:func:`repro.sim.batch.batch_unsupported`): it runs them on the event
+#: engine, several times slower per access than a batched run.
+EVENT_ONLY_SCHEMES = frozenset({PIPP, DSR, UCP})
+
 #: Builders for the non-static schemes; static ``(x:y:z)`` labels are
 #: recognised structurally.
 SCHEME_BUILDERS = {

@@ -37,7 +37,7 @@ from __future__ import annotations
 import gc
 import os
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.config import MachineConfig, MorphConfig
 from repro.resilience.errors import ConfigError
@@ -85,6 +85,26 @@ def derive_seed(base_seed: int, index: int) -> int:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
     return (z ^ (z >> 31)) & 0x7FFFFFFF
+
+
+def expected_cost(spec: RunSpec) -> Tuple[bool, int]:
+    """How long ``spec`` should take, as a sort key (larger is longer).
+
+    A run on the event engine, named so or because the batch engine cannot
+    batch its scheme (:data:`~repro.sim.experiment.EVENT_ONLY_SCHEMES`),
+    ranks above every batched run; within an engine, runs rank by the
+    accesses they simulate, warm-up included.
+    """
+    from repro.sim.experiment import EVENT_ONLY_SCHEMES  # local: avoid cycle
+
+    config = spec.config
+    epochs = spec.epochs if spec.epochs is not None else config.epochs
+    per_core = (spec.accesses_per_core if spec.accesses_per_core is not None
+                else config.accesses_per_core_per_epoch)
+    accesses = ((epochs + spec.warmup_epochs) * per_core
+                * len(spec.workload.active_cores))
+    on_event = spec.engine == "event" or spec.scheme in EVENT_ONLY_SCHEMES
+    return on_event, accesses
 
 
 def resolve_jobs(jobs: Optional[int] = None) -> int:
@@ -241,6 +261,7 @@ __all__ = [
     "RunSpec",
     "run_many",
     "derive_seed",
+    "expected_cost",
     "resolve_jobs",
     "prime_alone_ipcs",
     "JOBS_ENV",

@@ -9,8 +9,10 @@ as "throw away the entire sweep"; this module supervises the sweep instead.
 
 :func:`run_supervised` executes a list of
 :class:`~repro.sim.parallel.RunSpec` with ``submit``/``wait`` plus ordered
-reassembly (results land by spec index, never by completion order) and
-climbs a supervision ladder per run:
+reassembly (results land by spec index, never by completion order),
+submits the runs expected to take longest first
+(:func:`~repro.sim.parallel.expected_cost`) and climbs a supervision
+ladder per run:
 
 1. **Timeout** — each attempt gets a wall-clock budget
    (:attr:`SweepPolicy.run_timeout`).  Because at most one attempt is in
@@ -85,7 +87,13 @@ from repro.resilience.errors import (
     WorkerCrashError,
 )
 from repro.sim.engine import RunResult
-from repro.sim.parallel import RunSpec, _run_spec, derive_seed, resolve_jobs
+from repro.sim.parallel import (
+    RunSpec,
+    _run_spec,
+    derive_seed,
+    expected_cost,
+    resolve_jobs,
+)
 
 #: Journal format version; bumped on any incompatible record change.
 JOURNAL_VERSION = 1
@@ -844,7 +852,11 @@ def run_supervised(
     elif resume:
         raise CheckpointError("resume requested without a journal path")
 
-    pending = deque(o.index for o in outcomes if o.status == "pending")
+    # Longest expected runs first, so that no long run starts last and
+    # leaves the other workers idle while it finishes (LPT scheduling).
+    pending = deque(sorted(
+        (o.index for o in outcomes if o.status == "pending"),
+        key=lambda index: expected_cost(specs[index]), reverse=True))
     release: Dict[int, float] = {}  # index -> monotonic backoff release time
     inflight: Dict[Any, tuple] = {}  # future -> (index, started, deadline)
     pool: Optional[ProcessPoolExecutor] = None

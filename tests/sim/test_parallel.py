@@ -13,6 +13,7 @@ from repro.sim.parallel import (
     RunSpec,
     _run_spec,
     derive_seed,
+    expected_cost,
     prime_alone_ipcs,
     resolve_jobs,
     run_many,
@@ -80,6 +81,19 @@ def test_derive_seed_stable_and_distinct():
     assert len(set(seeds)) == 64  # distinct per index
     assert set(seeds).isdisjoint(derive_seed(2012, i) for i in range(64))
     assert all(0 <= s < 2 ** 31 for s in seeds)
+
+
+def test_expected_cost_ranks_event_runs_then_accesses():
+    workload = Workload.from_mix(MIXES[0])
+    spec = RunSpec(scheme="(16:1:1)", workload=workload, config=TINY,
+                   epochs=2, accesses_per_core=100)
+    assert expected_cost(spec) == (False, 3 * 100 * 16)
+    assert expected_cost(dataclasses.replace(spec, warmup_epochs=0)) \
+        == (False, 2 * 100 * 16)
+    assert expected_cost(dataclasses.replace(spec, engine="event"))[0]
+    assert expected_cost(dataclasses.replace(spec, scheme="pipp"))[0]
+    assert expected_cost(dataclasses.replace(spec, scheme="morphcache")) \
+        == expected_cost(spec)
 
 
 def test_prime_alone_ipcs_matches_serial_cache(monkeypatch):

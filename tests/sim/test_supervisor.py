@@ -105,6 +105,27 @@ def test_supervised_matches_serial_bit_identical():
         assert [e.misses for e in a.epochs] == [e.misses for e in b.epochs]
 
 
+def test_longest_expected_runs_are_submitted_first(tmp_path):
+    """One worker runs the specs in submission order, which the journal
+    records: event-engine runs first, then by length, ties in input order."""
+    workload = _workload()
+    specs = [RunSpec(scheme=scheme, workload=workload, config=TINY,
+                     epochs=epochs, engine=engine)
+             for scheme, epochs, engine in [("(16:1:1)", 1, "batch"),
+                                            ("pipp", 1, "batch"),
+                                            ("(1:1:16)", 3, "batch"),
+                                            ("morphcache", 1, "event"),
+                                            ("dsr", 1, "batch")]]
+    journal = tmp_path / "sweep.jsonl"
+    report = run_supervised(specs, jobs=1, journal=journal,
+                            worker=_scripted_worker)
+    assert report.ok
+    assert [r.scheme_name for r in report.results] == [s.scheme for s in specs]
+    records = [json.loads(line) for line in journal.read_text().splitlines()]
+    assert [r["index"] for r in records if r["kind"] == "run"] \
+        == [1, 3, 4, 2, 0]
+
+
 def test_poison_spec_quarantined_sweep_continues():
     # Acceptance: one poison spec must not cost the rest of the sweep.
     specs = _specs(["(16:1:1)", "not-a-scheme", "morphcache"])
