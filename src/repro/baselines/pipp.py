@@ -28,6 +28,8 @@ from __future__ import annotations
 import random
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.config import MachineConfig
 from repro.caches.cache import CacheSlice
 
@@ -116,6 +118,13 @@ def lookahead_partition(curves: Sequence[Sequence[int]], total_ways: int,
     ways.  Every core receives at least ``minimum`` way(s); the remainder is
     handed out by maximum marginal utility per way, considering blocks of
     ways at once (the "lookahead" that handles convex utility curves).
+
+    Each round scores every core's candidate blocks with numpy and keeps
+    the first maximum (``argmax``); across cores the first strictly greater
+    gain wins, so ties resolve exactly as a scan over (core, extra) in
+    order would.  The gains equal Python's ``int / int`` bit for bit while
+    hit counts stay below 2**53 (both operands convert to float64 exactly,
+    and IEEE division is correctly rounded).
     """
     n = len(curves)
     if n == 0:
@@ -124,22 +133,23 @@ def lookahead_partition(curves: Sequence[Sequence[int]], total_ways: int,
         raise ValueError("not enough ways for the minimum allocation")
     alloc = [minimum] * n
     remaining = total_ways - n * minimum
-
-    def gain(core: int, extra: int) -> float:
-        have = alloc[core]
-        curve = curves[core]
-        now = curve[have - 1] if have > 0 else 0
-        then = curve[min(have + extra, len(curve)) - 1]
-        return (then - now) / extra
+    arrays = [np.asarray(curve) for curve in curves]
+    blocks = np.arange(1, total_ways + 1, dtype=np.int64)
 
     while remaining > 0:
         best_core, best_extra, best_gain = -1, 1, -1.0
         for core in range(n):
-            max_extra = min(remaining, len(curves[core]) - alloc[core])
-            for extra in range(1, max_extra + 1):
-                g = gain(core, extra)
-                if g > best_gain:
-                    best_core, best_extra, best_gain = core, extra, g
+            have = alloc[core]
+            curve = arrays[core]
+            max_extra = min(remaining, len(curve) - have)
+            if max_extra <= 0:
+                continue
+            now = curve[have - 1] if have > 0 else 0
+            gains = (curve[have:have + max_extra] - now) / blocks[:max_extra]
+            extra = int(gains.argmax())
+            gain = float(gains[extra])
+            if gain > best_gain:
+                best_core, best_extra, best_gain = core, extra + 1, gain
         if best_core < 0 or best_gain <= 0:
             # No one benefits: spread the remainder round-robin.
             for core in range(n):
@@ -170,6 +180,9 @@ class PippCache:
         self._set_mask = sets - 1
         # Each set is a priority list: index 0 = next victim, -1 = highest.
         self._data: List[List[Tuple[int, int]]] = [[] for _ in range(sets)]
+        # Cache-wide residency index, line -> owner, kept in lockstep with
+        # ``_data`` by ``fill`` (a line is resident at most once).
+        self._owner: Dict[int, int] = {}
         self._rng = random.Random(seed)
         self.monitors = [UtilityMonitor(sets, ways) for _ in range(n_cores)]
         base = max(1, ways // n_cores)
@@ -182,14 +195,14 @@ class PippCache:
     def lookup(self, core: int, line: int) -> bool:
         """Probe (and monitor) the cache; promotes on hit.  True if hit."""
         self.monitors[core].observe(line)
+        owner = self._owner.get(line)
+        if owner is None:
+            self.misses += 1
+            return False
+        self.hits += 1
         entries = self._data[line & self._set_mask]
-        for position, (entry_line, owner) in enumerate(entries):
-            if entry_line == line:
-                self.hits += 1
-                self._promote(entries, position, owner)
-                return True
-        self.misses += 1
-        return False
+        self._promote(entries, entries.index((line, owner)), owner)
+        return True
 
     def _promote(self, entries: List[Tuple[int, int]], position: int,
                  owner: int) -> None:
@@ -204,22 +217,25 @@ class PippCache:
     def fill(self, core: int, line: int) -> Optional[int]:
         """Install a line at the core's insertion position.
 
-        Returns the evicted line, if any.
+        The line must not be resident (callers fill only after a
+        :meth:`lookup` miss), so every line appears at most once in the
+        cache.  Returns the evicted line, if any.
         """
         entries = self._data[line & self._set_mask]
         victim = None
         if len(entries) >= self.ways:
             victim = entries.pop(0)[0]
+            del self._owner[victim]
         if self.monitors[core].is_streaming:
             position = min(STREAM_INSERT_POSITION, len(entries))
         else:
             position = min(self.partitions[core], len(entries))
         entries.insert(position, (line, core))
+        self._owner[line] = core
         return victim
 
     def contains(self, line: int) -> bool:
-        entries = self._data[line & self._set_mask]
-        return any(entry_line == line for entry_line, _ in entries)
+        return line in self._owner
 
     # -- epoch boundary ---------------------------------------------------------
 
